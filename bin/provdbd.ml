@@ -25,7 +25,16 @@ open Cmdliner
 open Workspace
 module Server = Tep_server.Server
 
+(* Shutdown signals are taken synchronously by one waiter thread.
+   They are blocked here, before [load] or the server start any other
+   thread or domain, so every later thread inherits the mask and a
+   signal can only be consumed by [Thread.wait_signal].  (An OCaml
+   handler would run only once some thread left a blocking call: on an
+   idle daemon, at the reactor's next 1 s select tick.) *)
+let shutdown_signals = [ Sys.sigint; Sys.sigterm ]
+
 let run dir socket port shards_flag event_loop io_threads idle_timeout =
+  ignore (Thread.sigmask Unix.SIG_BLOCK shutdown_signals);
   match load dir with
   | Error f ->
       report_failure f;
@@ -59,30 +68,25 @@ let run dir socket port shards_flag event_loop io_threads idle_timeout =
           ~participants:ws.participants ws.engine
       in
       let stop = Atomic.make false in
-      let signals = Atomic.make 0 in
-      List.iter
-        (fun s ->
-          Sys.set_signal s
-            (Sys.Signal_handle
-               (fun _ ->
-                 if Atomic.fetch_and_add signals 1 = 0 then begin
-                   (* first signal: stop accepting, refuse new writes,
-                      let in-flight batches commit *)
-                   Server.begin_drain server;
-                   Atomic.set stop true;
-                   (* the serve loops block in their pollsets; nudge
-                      them so the drain starts now, not at the next
-                      housekeeping tick *)
-                   Server.wake server
-                 end
-                 else begin
-                   (* second signal: the operator wants out now; skip
-                      the drain and checkpoint, leave the WAL tail for
-                      `provdb recover` *)
-                   prerr_endline "provdbd: forced shutdown (drain aborted)";
-                   Stdlib.exit exit_forced
-                 end)))
-        [ Sys.sigint; Sys.sigterm ];
+      let (_ : Thread.t) =
+        Thread.create
+          (fun () ->
+            ignore (Thread.wait_signal shutdown_signals);
+            (* first signal: stop accepting, refuse new writes, let
+               in-flight batches commit *)
+            Server.begin_drain server;
+            Atomic.set stop true;
+            (* the serve loops block in their pollsets; nudge them so
+               the drain starts now, not at the next housekeeping tick *)
+            Server.wake server;
+            ignore (Thread.wait_signal shutdown_signals);
+            (* second signal: the operator wants out now; skip the
+               drain and checkpoint, leave the WAL tail for `provdb
+               recover` *)
+            prerr_endline "provdbd: forced shutdown (drain aborted)";
+            Stdlib.exit exit_forced)
+          ()
+      in
       let sock = Option.value socket ~default:(socket_path dir) in
       let threads =
         Thread.create (fun () -> Server.serve_unix server ~path:sock ~stop) ()

@@ -1,6 +1,5 @@
 let limb_bits = Nat.limb_bits
-let base = 1 lsl limb_bits
-let limb_mask = base - 1
+let limb_mask = (1 lsl limb_bits) - 1
 
 let rec gcd a b = if Nat.is_zero b then a else gcd b (Nat.rem a b)
 
@@ -34,201 +33,235 @@ let modinv a m =
 let mod_mul a b m = Nat.rem (Nat.mul a b) m
 
 module Montgomery = struct
+  (* Numbers mod m are [n] little-endian 32-bit words, each held in a
+     64-bit slot of a [Bytes] and read and written unboxed as [int64]:
+     the product of two words needs all 64 bits, which a tagged 63-bit
+     [int] does not have.  R = 2^(32n). *)
   type ctx = {
     m : Nat.t;
-    n : int; (* limb count of m *)
-    m_limbs : int array;
-    m' : int; (* -m^{-1} mod base *)
-    r2 : Nat.t; (* R^2 mod m, R = base^n *)
+    n : int; (* word count of m *)
+    mw : Bytes.t; (* m as words *)
+    m' : int64; (* -m^{-1} mod 2^32 *)
+    r2 : Bytes.t; (* R^2 mod m, as words *)
   }
+
+  external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+  let word_bits = 32
+  let word_mask = 0xFFFF_FFFF
+  let mask = 0xFFFF_FFFFL
+  let hi x = Int64.shift_right_logical x word_bits
+  let lo x = Int64.logand x mask
+
+  (* Word [i] of a buffer (byte offset 8i). *)
+  let word w i = Int64.to_int (get w (i lsl 3))
 
   let modulus ctx = ctx.m
 
-  (* Inverse of x modulo base by Newton iteration (x odd). *)
-  let inv_limb x =
-    let y = ref x in
-    (* y *= 2 - x*y doubles correct bits each step; the seed is good to
-       3 bits (x*x = 1 mod 8 for odd x), so 5 steps reach 96 > 31. *)
-    for _ = 1 to 5 do
-      y := (!y * (2 - (x * !y))) land limb_mask
+  (* [x < 2^(32n)] as [n] words: word i is bits [32i, 32i+32) of x,
+     which straddle at most two of Nat's 31-bit limbs. *)
+  let words_of_nat n x =
+    let w = Bytes.create (n lsl 3) in
+    for i = 0 to n - 1 do
+      let l = i * word_bits / limb_bits and o = i * word_bits mod limb_bits in
+      let v =
+        (Nat.get_limb x l lsr o)
+        lor (Nat.get_limb x (l + 1) lsl (limb_bits - o))
+      in
+      set w (i lsl 3) (Int64.of_int (v land word_mask))
     done;
-    !y land limb_mask
+    w
+
+  let nat_of_words n w =
+    let nlimbs = ((n * word_bits) + limb_bits - 1) / limb_bits in
+    Nat.of_limbs
+      (Array.init nlimbs (fun k ->
+           let i = k * limb_bits / word_bits
+           and o = k * limb_bits mod word_bits in
+           let v = word w i lsr o in
+           let v =
+             if o > word_bits - limb_bits && i + 1 < n then
+               v lor (word w (i + 1) lsl (word_bits - o))
+             else v
+           in
+           v land limb_mask))
 
   let create m =
     if Nat.is_even m || Nat.compare m Nat.one <= 0 then
       invalid_arg "Montgomery.create: modulus must be odd and > 1";
-    let n = Nat.num_limbs m in
-    let m_limbs = Array.init n (Nat.get_limb m) in
-    let m' = (base - inv_limb m_limbs.(0)) land limb_mask in
-    let r = Nat.shift_left Nat.one (n * limb_bits) in
-    let r2 = Nat.rem (Nat.mul r r) m in
-    { m; n; m_limbs; m'; r2 }
-
-  (* CIOS Montgomery multiplication: dst <- a*b*R^{-1} mod m.  Inputs
-     are limb arrays of length n (zero-padded); [t] is caller scratch
-     of length n+2 (contents ignored).  [dst] may alias [a] or [b] —
-     both are fully consumed before the first store to [dst] — so a
-     whole exponentiation runs in two fixed buffers with no allocation
-     per multiply.
-
-     The interleaved reduction stores slot j at index j-1, folding the
-     end-of-iteration one-limb shift of the textbook formulation into
-     the loop itself.  Each accumulation step is at most
-     limb + limb*limb + limb = 2^62 - 1, exactly max_int: the unsafe
-     accesses below are bounds-safe because every index is governed by
-     [n = ctx.n] and all four arrays have length >= n (t: n+2). *)
-  let mont_mul_into ctx (t : int array) (dst : int array) (a : int array)
-      (b : int array) : unit =
-    let n = ctx.n in
-    let m = ctx.m_limbs and m' = ctx.m' in
-    Array.fill t 0 (n + 2) 0;
-    for i = 0 to n - 1 do
-      let ai = Array.unsafe_get a i in
-      (* t += ai * b *)
-      let carry = ref 0 in
-      for j = 0 to n - 1 do
-        let p =
-          Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !carry
-        in
-        Array.unsafe_set t j (p land limb_mask);
-        carry := p lsr limb_bits
-      done;
-      let s = Array.unsafe_get t n + !carry in
-      Array.unsafe_set t n (s land limb_mask);
-      Array.unsafe_set t (n + 1)
-        (Array.unsafe_get t (n + 1) + (s lsr limb_bits));
-      (* u = t[0] * m' mod base; t := (t + u*m) / base, the division
-         folded into the store index: slot j lands at j-1, and slot 0
-         (zero by construction of u) is simply never stored. *)
-      let u = (Array.unsafe_get t 0 * m') land limb_mask in
-      let p0 = Array.unsafe_get t 0 + (u * Array.unsafe_get m 0) in
-      let carry = ref (p0 lsr limb_bits) in
-      for j = 1 to n - 1 do
-        let p =
-          Array.unsafe_get t j + (u * Array.unsafe_get m j) + !carry
-        in
-        Array.unsafe_set t (j - 1) (p land limb_mask);
-        carry := p lsr limb_bits
-      done;
-      let s = Array.unsafe_get t n + !carry in
-      Array.unsafe_set t (n - 1) (s land limb_mask);
-      Array.unsafe_set t n (Array.unsafe_get t (n + 1) + (s lsr limb_bits));
-      Array.unsafe_set t (n + 1) 0
+    let n = (Nat.num_bits m + word_bits - 1) / word_bits in
+    let mw = words_of_nat n m in
+    (* m0^{-1} mod 2^32 by Newton iteration: y <- y(2 - m0 y) doubles
+       the correct low bits; the seed y = m0 is right to 3 bits
+       (odd squares are 1 mod 8), so 4 steps reach 48 >= 32.  Native
+       ints wrap mod 2^63, which 2^32 divides. *)
+    let m0 = word mw 0 in
+    let y = ref m0 in
+    for _ = 1 to 4 do
+      y := !y * (2 - (m0 * !y)) land word_mask
     done;
-    (* Result in t[0..n]; subtract m if >= m, writing into dst. *)
-    let ge =
-      if Array.unsafe_get t n <> 0 then true
-      else begin
-        let rec cmp i =
-          if i < 0 then true (* equal *)
-          else
-            let ti = Array.unsafe_get t i and mi = Array.unsafe_get m i in
-            if ti <> mi then ti > mi else cmp (i - 1)
-        in
-        cmp (n - 1)
-      end
-    in
-    if ge then begin
-      let borrow = ref 0 in
+    let r2 = Nat.rem (Nat.shift_left Nat.one (2 * n * word_bits)) m in
+    {
+      m;
+      n;
+      mw;
+      m' = Int64.of_int (-(!y) land word_mask);
+      r2 = words_of_nat n r2;
+    }
+
+  (* Words 0..i of [x] >= those of [y], as numbers. *)
+  let rec geq x y i =
+    i < 0
+    || (let xi = get x (i lsl 3) and yi = get y (i lsl 3) in
+        if xi <> yi then xi > yi else geq x y (i - 1))
+
+  (* The one Montgomery multiply: dst <- a*b*R^{-1} mod m, for a, b < m
+     in words.  [t] is scratch of n+1 words (contents ignored).  [dst]
+     may alias [a] or [b]: both are only read until the final store.
+
+     Fused CIOS.  Iteration i adds a_i*b and u*m to t in the same pass
+     over j, u chosen so the low word cancels, and stores word j at
+     j-1, so the division by 2^32 costs nothing.  The two products
+     carry separately, [c1] for a_i*b and [c2] for u*m.  Every step
+     stays in an unsigned 64-bit word:
+
+       t_j + a_i*b_j + c1           <= (2^32-1) + (2^32-1)^2 + (2^32-1)
+       lo(that) + u*m_j + c2        <= (2^32-1) + (2^32-1)^2 + (2^32-1)
+
+     and (2^32-1)^2 + 2*(2^32-1) = 2^64-1 exactly, so each carry is
+     again < 2^32.  t stays below 2m < 2^(32n+1), so its extra word
+     t_n is 0 or 1 between iterations, and the result before the
+     final subtraction is < 2m.
+
+     Every unsafe access is at a word index below n+1, and every
+     buffer passed in has n words (t: n+1). *)
+  let mul ctx t dst a b =
+    let n = ctx.n and mw = ctx.mw and m' = ctx.m' in
+    let top = n lsl 3 in
+    Bytes.fill t 0 (top + 8) '\000';
+    for i = 0 to n - 1 do
+      let ai = get a (i lsl 3) in
+      let p = Int64.add (get t 0) (Int64.mul ai (get b 0)) in
+      let u = lo (Int64.mul (lo p) m') in
+      let q = Int64.add (lo p) (Int64.mul u (get mw 0)) in
+      let c1 = ref (hi p) and c2 = ref (hi q) in
+      for j = 1 to n - 1 do
+        let o = j lsl 3 in
+        let p = Int64.add (Int64.add (get t o) (Int64.mul ai (get b o))) !c1 in
+        let q = Int64.add (Int64.add (lo p) (Int64.mul u (get mw o))) !c2 in
+        set t (o - 8) (lo q);
+        c1 := hi p;
+        c2 := hi q
+      done;
+      let s = Int64.add (Int64.add (get t top) !c1) !c2 in
+      set t (top - 8) (lo s);
+      set t top (hi s)
+    done;
+    (* t < 2m: subtract m once if t >= m. *)
+    if get t top <> 0L || geq t mw (n - 1) then begin
+      let borrow = ref 0L in
       for i = 0 to n - 1 do
-        let d = Array.unsafe_get t i - Array.unsafe_get m i - !borrow in
-        if d < 0 then begin
-          Array.unsafe_set dst i (d + base);
-          borrow := 1
-        end
-        else begin
-          Array.unsafe_set dst i d;
-          borrow := 0
-        end
+        let o = i lsl 3 in
+        let d = Int64.sub (Int64.sub (get t o) (get mw o)) !borrow in
+        set dst o (lo d);
+        borrow := Int64.shift_right_logical d 63
       done
     end
-    else Array.blit t 0 dst 0 n
+    else Bytes.blit t 0 dst 0 top
 
-  (* Allocating wrapper, used by the reference ladder. *)
-  let mont_mul_scratch ctx (t : int array) (a : int array) (b : int array) :
-      int array =
-    let res = Array.make ctx.n 0 in
-    mont_mul_into ctx t res a b;
-    res
+  (* Entry into Montgomery form (x*R mod m, fresh words) and exit
+     (a multiply by 1), shared by both ladders. *)
+  let enter ctx t x =
+    let w = words_of_nat ctx.n (Nat.rem x ctx.m) in
+    mul ctx t w w ctx.r2;
+    w
 
-  let to_limbs ctx x =
-    let x = Nat.rem x ctx.m in
-    Array.init ctx.n (Nat.get_limb x)
+  let leave ctx t acc =
+    let one = Bytes.make (ctx.n lsl 3) '\000' in
+    set one 0 1L;
+    mul ctx t acc acc one;
+    nat_of_words ctx.n acc
+
+  let scratch ctx = Bytes.create ((ctx.n + 1) lsl 3)
 
   (* Reference left-to-right binary ladder, kept as the oracle the
-     windowed ladder is property-tested (and benchmarked) against. *)
+     sliding-window ladder is property-tested (and benchmarked)
+     against. *)
   let pow_binary ctx b e =
     if Nat.is_zero e then Nat.rem Nat.one ctx.m
     else begin
-      let t = Array.make (ctx.n + 2) 0 in
-      let mul = mont_mul_scratch ctx t in
-      let b_mont = mul (to_limbs ctx b) (to_limbs ctx ctx.r2) in
-      let acc = ref (mul (to_limbs ctx Nat.one) (to_limbs ctx ctx.r2)) in
+      let t = scratch ctx in
+      let bm = enter ctx t b and acc = enter ctx t Nat.one in
       for i = Nat.num_bits e - 1 downto 0 do
-        acc := mul !acc !acc;
-        if Nat.testbit e i then acc := mul !acc b_mont
+        mul ctx t acc acc acc;
+        if Nat.testbit e i then mul ctx t acc acc bm
       done;
-      (* Convert out of Montgomery form: multiply by 1. *)
-      let one_limbs = Array.make ctx.n 0 in
-      one_limbs.(0) <- 1;
-      Nat.of_limbs (mul !acc one_limbs)
+      leave ctx t acc
     end
 
-  (* Fixed-window size: chosen so the 2^k-1 table multiplies amortise
-     over e's bits (k=5 saves ~19% of the multiplies of the binary
-     ladder on a 2048-bit exponent). *)
+  (* Window width for an exponent of [ebits] bits: the 2^(k-1) table
+     multiplies have to pay for themselves against the roughly
+     ebits/(k+1) window multiplies the ladder then does. *)
   let window_bits ebits =
-    if ebits <= 24 then 1
-    else if ebits <= 80 then 2
-    else if ebits <= 240 then 3
-    else if ebits <= 768 then 4
+    if ebits <= 23 then 1
+    else if ebits <= 79 then 3
+    else if ebits <= 239 then 4
     else 5
 
-  (* 2^k-ary fixed-window ladder: precompute b^0..b^(2^k - 1) in
-     Montgomery form, then per k-bit window do k squarings and at most
-     one table multiply.  The accumulator squares in place via
-     {!mont_mul_into} (dst aliasing is safe there), so the whole
-     ladder allocates only the table and two scratch buffers. *)
+  (* Left-to-right sliding window over odd powers.  The table holds
+     b^1, b^3, ..., b^(2^k - 1) in Montgomery form.  A zero bit costs a
+     squaring; a one bit opens a window of at most k bits that ends in
+     a one, costing one squaring per bit and one table multiply.  The
+     top bit is set, so the first window starts there and its table
+     entry is the accumulator's starting value. *)
   let pow ctx b e =
     if Nat.is_zero e then Nat.rem Nat.one ctx.m
     else begin
-      let ebits = Nat.num_bits e in
-      let k = window_bits ebits in
       let n = ctx.n in
-      let t = Array.make (n + 2) 0 in
-      let one_mont = mont_mul_scratch ctx t (to_limbs ctx Nat.one)
-          (to_limbs ctx ctx.r2)
-      in
-      let b_mont = mont_mul_scratch ctx t (to_limbs ctx b)
-          (to_limbs ctx ctx.r2)
-      in
-      let table = Array.init (1 lsl k) (fun _ -> Array.make n 0) in
-      Array.blit one_mont 0 table.(0) 0 n;
-      for i = 1 to (1 lsl k) - 1 do
-        mont_mul_into ctx t table.(i) table.(i - 1) b_mont
-      done;
-      let window j =
-        (* bits [j*k .. j*k + k - 1] of e, top bit first *)
+      let k = window_bits (Nat.num_bits e) in
+      let t = scratch ctx in
+      let table = Array.make (1 lsl (k - 1)) (enter ctx t b) in
+      if k > 1 then begin
+        let b2 = Bytes.create (n lsl 3) in
+        mul ctx t b2 table.(0) table.(0);
+        for i = 1 to Array.length table - 1 do
+          let x = Bytes.create (n lsl 3) in
+          mul ctx t x table.(i - 1) b2;
+          table.(i) <- x
+        done
+      end;
+      (* the window opened at set bit i: its low end l (a set bit) and
+         the table entry for bits i..l *)
+      let window i =
+        let l = ref (max 0 (i - k + 1)) in
+        while not (Nat.testbit e !l) do
+          incr l
+        done;
         let w = ref 0 in
-        for bit = k - 1 downto 0 do
-          w := (!w lsl 1) lor (if Nat.testbit e ((j * k) + bit) then 1 else 0)
+        for bit = i downto !l do
+          w := (!w lsl 1) lor Bool.to_int (Nat.testbit e bit)
         done;
-        !w
+        (!l, table.(!w lsr 1))
       in
-      let nwin = (ebits + k - 1) / k in
-      let acc = Array.make n 0 in
-      Array.blit table.(window (nwin - 1)) 0 acc 0 n;
-      for j = nwin - 2 downto 0 do
-        for _ = 1 to k do
-          mont_mul_into ctx t acc acc acc
-        done;
-        let w = window j in
-        if w <> 0 then mont_mul_into ctx t acc acc table.(w)
+      let l, g = window (Nat.num_bits e - 1) in
+      let acc = Bytes.copy g in
+      let i = ref (l - 1) in
+      while !i >= 0 do
+        if not (Nat.testbit e !i) then begin
+          mul ctx t acc acc acc;
+          decr i
+        end
+        else begin
+          let l, g = window !i in
+          for _ = l to !i do
+            mul ctx t acc acc acc
+          done;
+          mul ctx t acc acc g;
+          i := l - 1
+        end
       done;
-      let one_limbs = Array.make n 0 in
-      one_limbs.(0) <- 1;
-      mont_mul_into ctx t acc acc one_limbs;
-      Nat.of_limbs acc
+      leave ctx t acc
     end
 end
 

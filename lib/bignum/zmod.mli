@@ -2,8 +2,8 @@
 
     Provides the number-theoretic operations RSA needs: GCD, modular
     inverse, and modular exponentiation.  Exponentiation over odd
-    moduli uses Montgomery multiplication (CIOS); even moduli fall
-    back to division-based reduction. *)
+    moduli uses Montgomery multiplication (fused CIOS over 32-bit
+    words); even moduli fall back to division-based reduction. *)
 
 val gcd : Nat.t -> Nat.t -> Nat.t
 (** Greatest common divisor; [gcd 0 b = b]. *)
@@ -39,12 +39,15 @@ module Montgomery : sig
   val modulus : ctx -> Nat.t
 
   val pow : ctx -> Nat.t -> Nat.t -> Nat.t
-  (** [pow ctx b e = b^e mod (modulus ctx)] via a 2^k-ary
-      fixed-window ladder (k picked from [e]'s bit length, up to 5:
-      [2^k - 1] precomputed multiples, then k squarings and at most
-      one multiply per window). *)
+  (** [pow ctx b e = b^e mod (modulus ctx)] via a left-to-right
+      sliding-window ladder over odd powers (window width k picked
+      from [e]'s bit length, up to 5: [2^(k-1)] precomputed odd
+      powers, then one squaring per exponent bit and one multiply per
+      window, each window ending in a set bit). *)
 
   val pow_binary : ctx -> Nat.t -> Nat.t -> Nat.t
-  (** Reference left-to-right binary square-and-multiply.  Same
-      results as {!pow}; kept as oracle and benchmark baseline. *)
+  (** Reference left-to-right binary square-and-multiply on the same
+      Montgomery multiply.  Same results as {!pow}; kept as the ladder
+      oracle and benchmark baseline ({!modpow_naive} is the oracle
+      independent of the multiply). *)
 end

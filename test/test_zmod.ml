@@ -71,8 +71,9 @@ let test_modpow_edges () =
   check "even m" (n 6) (n 6) (n 3) (n 10);
   check "b multiple of m" Nat.zero (n 22) (n 5) (n 11)
 
-(* Exercise every window size (k=1..5): exponent widths on both sides
-   of each window_bits threshold, against the binary ladder. *)
+(* Exercise every window size (k = 1, 3, 4, 5): exponent widths on
+   both sides of each window_bits threshold, against the binary
+   ladder. *)
 let test_window_sizes () =
   let seed = ref 1234 in
   let next () =
@@ -98,7 +99,103 @@ let test_window_sizes () =
         (Printf.sprintf "windowed = binary at %d-bit exponent" ebits)
         (Zmod.Montgomery.pow_binary ctx b e)
         (Zmod.Montgomery.pow ctx b e))
-    [ 2; 24; 25; 80; 81; 240; 241; 768; 769; 2048 ]
+    [ 2; 23; 24; 79; 80; 239; 240; 768; 769; 2048 ]
+
+(* Kernel edge cases, each checked three ways against the
+   division-based oracle: the sliding-window ladder, the binary ladder
+   and the [modpow] dispatcher. *)
+let check_kernel name m b e =
+  let want = Zmod.modpow_naive b e m in
+  let ctx = Zmod.Montgomery.create m in
+  Alcotest.check nat (name ^ ": pow") want (Zmod.Montgomery.pow ctx b e);
+  Alcotest.check nat (name ^ ": pow_binary") want
+    (Zmod.Montgomery.pow_binary ctx b e);
+  Alcotest.check nat (name ^ ": modpow") want (Zmod.modpow b e m)
+
+let pow2 k = Nat.shift_left Nat.one k
+let minus_one x = Nat.sub x Nat.one
+
+(* Moduli that fit one 32-bit word, including the largest one. *)
+let test_single_word_moduli () =
+  List.iter
+    (fun m ->
+      let name = "m=" ^ Nat.to_decimal m in
+      List.iter
+        (fun b ->
+          List.iter
+            (fun e ->
+              check_kernel
+                (Printf.sprintf "%s b=%s e=%s" name (Nat.to_decimal b)
+                   (Nat.to_decimal e))
+                m b e)
+            [ Nat.zero; Nat.one; n 2; n 65537; pow2 32; minus_one (pow2 64) ])
+        [ Nat.zero; Nat.one; n 2; minus_one m; m; Nat.add m (n 5); pow2 100 ])
+    [ n 3; minus_one (pow2 31); minus_one (pow2 32) ]
+
+(* Moduli whose top word is all ones leave the least headroom above
+   the running sum: the final conditional subtraction and the carry
+   into the extra word are exercised hardest here. *)
+let test_all_ones_top_word () =
+  List.iter
+    (fun (name, m) ->
+      let bits = Nat.num_bits m in
+      List.iter
+        (fun (bname, b) ->
+          List.iter
+            (fun (ename, e) ->
+              check_kernel (Printf.sprintf "%s %s %s" name bname ename) m b e)
+            [
+              ("e=1", Nat.one);
+              ("e=2", n 2);
+              ("e=65537", n 65537);
+              ("e=m-2", Nat.sub m (n 2));
+            ])
+        [
+          ("b=m-1", minus_one m);
+          ("b=m-2", Nat.sub m (n 2));
+          ("b=2^(bits-1)", pow2 (bits - 1));
+          ("b=m", m);
+          ("b=2^(bits+40)+3", Nat.add (pow2 (bits + 40)) (n 3));
+        ])
+    [
+      ("2^64-59", Nat.sub (pow2 64) (n 59));
+      ("2^512-569", Nat.sub (pow2 512) (n 569));
+      ("2^1024-1", minus_one (pow2 1024));
+    ]
+
+(* Exponent shapes for the sliding window: a single set bit, set bits
+   at both ends of a long zero run, and a window-sized all-ones
+   prefix. *)
+let test_exponent_shapes () =
+  let m = Nat.sub (pow2 512) (n 569) in
+  let b = Nat.of_hex "123456789abcdef0fedcba9876543210deadbeef" in
+  List.iter
+    (fun (name, e) -> check_kernel name m b e)
+    ([
+       ("e=1", Nat.one);
+       ("e=2^511+1", Nat.add (pow2 511) Nat.one);
+       ("e=2^511+2^255+1", Nat.add (pow2 511) (Nat.add (pow2 255) Nat.one));
+       ("e=2^512-1", minus_one (pow2 512));
+       ("e=2^600-2^590", Nat.sub (pow2 600) (pow2 590));
+     ]
+    @ List.map
+        (fun k -> (Printf.sprintf "e=2^%d" k, pow2 k))
+        [ 1; 2; 4; 5; 6; 31; 32; 33; 64; 240; 511 ])
+
+(* Full-width exponents at RSA-CRT sizes against the naive oracle
+   (pow and pow_binary share one multiply, so only this oracle is
+   independent of it).  Moduli are odd with the top bit set; bases run
+   up to 64 bits wider than the modulus. *)
+let prop_rsa_sizes_vs_naive bits count =
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "Montgomery.pow = naive oracle (%d-bit)" bits)
+    ~count
+    QCheck2.Gen.(triple (gen_nat (bits + 64)) (gen_nat bits) (gen_nat bits))
+    (fun (b, e, m) ->
+      let m = Nat.add (pow2 (bits - 1)) (Nat.rem m (pow2 (bits - 1))) in
+      let m = if Nat.is_even m then Nat.add m Nat.one else m in
+      let ctx = Zmod.Montgomery.create m in
+      Nat.equal (Zmod.Montgomery.pow ctx b e) (Zmod.modpow_naive b e m))
 
 let prop_modpow_vs_naive =
   QCheck2.Test.make ~name:"windowed modpow = naive oracle (any modulus)"
@@ -158,12 +255,18 @@ let () =
             test_montgomery_vs_naive;
           Alcotest.test_case "modpow edge cases" `Quick test_modpow_edges;
           Alcotest.test_case "window sizes" `Quick test_window_sizes;
+          Alcotest.test_case "single-word moduli" `Quick
+            test_single_word_moduli;
+          Alcotest.test_case "all-ones top word" `Quick test_all_ones_top_word;
+          Alcotest.test_case "exponent shapes" `Quick test_exponent_shapes;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_modpow_vs_naive;
             prop_window_vs_binary;
+            prop_rsa_sizes_vs_naive 512 40;
+            prop_rsa_sizes_vs_naive 1024 12;
             prop_modinv;
             prop_modpow_mul;
             prop_gcd_divides;

@@ -14,7 +14,9 @@
 # and the event-loop service gates (@serve-loop: the reactor suite
 # plus the service robustness group pinned to the event loop; the
 # scripted daemon sessions below run the reactor by default, with an
-# explicit thread-per-connection parity check via --event-loop=false).
+# explicit thread-per-connection parity check via --event-loop=false),
+# and a timed idle-drain gate (SIGTERM to an idle provdbd must exit
+# within 400 ms).
 # Equivalent to `dune build @check-all` plus the daemon sessions.
 set -eu
 cd "$(dirname "$0")/.."
@@ -126,6 +128,29 @@ echo "drain: SIGTERM exited 0, root hash stable across restart"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 daemon_pid=
+
+# Timed idle drain: SIGTERM to an idle daemon must be acted on at
+# once, not at the reactor's next 1 s select tick.
+log=$(dirname "$ws")/provdbd.log
+"$PROVDBD" "$ws" > "$log" & daemon_pid=$!
+i=0
+until grep -q listening "$log"; do
+  i=$((i + 1))
+  [ "$i" -le 100 ] || { echo "daemon never reported listening"; exit 1; }
+  sleep 0.1
+done
+sleep 0.05
+t0=$(date +%s%N)
+kill -TERM "$daemon_pid"
+wait "$daemon_pid"
+t1=$(date +%s%N)
+daemon_pid=
+drain_ms=$(( (t1 - t0) / 1000000 ))
+if [ "$drain_ms" -gt 400 ]; then
+  echo "FAIL: idle SIGTERM drain took ${drain_ms} ms, limit 400 ms"
+  exit 1
+fi
+echo "drain: idle SIGTERM exited 0 in ${drain_ms} ms (limit 400 ms)"
 
 # Thread-per-connection fallback must stay wire-compatible: the same
 # workspace served with the event loop disabled answers with the same
